@@ -150,6 +150,21 @@ def _diag_positions(S: CSRMatrix):
     return diag_positions(S, message="pattern has no diagonal entry in row {row}")
 
 
+def factor_rows(F: CSRMatrix, diag_pos, *, pivot_tol=0.0, drop_threshold=None, modified=False):
+    """Factor every row of ``F`` in place, rows ``0..n-1`` in order.
+
+    The sequential up-looking row loop shared by the references
+    (:func:`ilu_factor_sequential`, the ``scalar`` ``ilu_factor``
+    kernel).  With ``drop_threshold`` each row gets fixed-pattern
+    ILU(k, τ) dropping at its completion.
+    """
+    for r in range(F.n_rows):
+        factor_row(F, r, diag_pos, pivot_tol=pivot_tol)
+        if drop_threshold is not None:
+            drop_row_fixed_pattern(F, r, diag_pos, drop_threshold[r], modified=modified)
+    return F
+
+
 def ilu_factor_sequential(A: CSRMatrix, S: CSRMatrix | None = None, *, pivot_tol=0.0):
     """Up-looking ILU of A on pattern S (default: ILU(0) pattern).
 
@@ -159,10 +174,7 @@ def ilu_factor_sequential(A: CSRMatrix, S: CSRMatrix | None = None, *, pivot_tol
     if S is None:
         S = ilu0_pattern(A)
     F = _scatter_values(S, A)
-    diag_pos = _diag_positions(F)
-    for i in range(F.n_rows):
-        factor_row(F, i, diag_pos, pivot_tol=pivot_tol)
-    return F
+    return factor_rows(F, _diag_positions(F), pivot_tol=pivot_tol)
 
 
 def ilu_refactor(A: CSRMatrix, S: CSRMatrix, *, pivot_tol=0.0):
@@ -179,15 +191,9 @@ def ilu_refactor(A: CSRMatrix, S: CSRMatrix, *, pivot_tol=0.0):
     This is the sequential reference for the value-only path; the
     staged equivalent is :meth:`repro.core.javelin.JavelinILU.refactor`.
     """
-    from ..kernels import cached_analysis
+    from ..kernels import get_kernel
 
-    F = _scatter_values(S, A)
-    diag_pos = cached_analysis(F).diag_pos(
-        message="pattern has no diagonal entry in row {row}"
-    )
-    for i in range(F.n_rows):
-        factor_row(F, i, diag_pos, pivot_tol=pivot_tol)
-    return F
+    return get_kernel("ilu_factor", "scalar")(_scatter_values(S, A), pivot_tol=pivot_tol)
 
 
 def ilu0_factor(A: CSRMatrix, *, pivot_tol=0.0):

@@ -15,9 +15,10 @@ Typical use::
 ``setup`` performs the paper's preprocessing (§III): predetermine the
 fill pattern (ILU(k)), level-schedule ``lower(S + Sᵀ)``, split into the
 two stages, and symmetrically permute the matrix into the level
-ordering.  ``factor`` runs the staged numeric factorization; the result
-is provably identical to the sequential up-looking reference because
-every stage eliminates each row's columns in ascending order.
+ordering.  ``factor`` runs the level-batched numeric kernel (all rows of
+a level set advance together, one in-row rank at a time); the result is
+bitwise identical to the sequential up-looking reference because every
+entry sees the reference's operations in the reference's order.
 ``simulate_*`` replay the same schedules on a simulated machine.
 """
 
@@ -37,18 +38,13 @@ from .symbolic import (
     row_factor_costs,
     row_factor_costs_split,
 )
-from ..kernels import cached_analysis
+from ..kernels import get_kernel
 from ..kernels.cache import pattern_fingerprint
-from .iluk import (
-    _scatter_values,
-    drop_row_fixed_pattern,
-    factor_row,
-    ilu_factor_sequential,
-)
+from .iluk import _scatter_values
 from .schedule import ScheduleOptions, build_schedule
 from .upper import simulate_upper_p2p, simulate_upper_barrier
-from .lower_er import factor_lower_er, simulate_lower_er
-from .lower_sr import SegmentedRows, factor_lower_sr, simulate_lower_sr
+from .lower_er import simulate_lower_er
+from .lower_sr import SegmentedRows, simulate_lower_sr
 from .trisolve import (
     LevelizedTriangularSolver,
     simulate_trisolve_barrier,
@@ -224,51 +220,34 @@ class JavelinILU:
         return method
 
     def factor(self, method: str | None = None) -> FactorResult:
-        """Numeric factorization with the staged execution order.
+        """Numeric factorization through the ``ilu_factor`` kernel.
 
-        ``method`` overrides the lower-stage choice ("er" | "sr" |
-        "none").  All choices produce the identical factor; tests assert
-        bit-for-bit agreement with the sequential reference.
+        The default ``batched`` backend runs every row of a level set
+        together, one (level, in-row rank) step at a time, from the
+        pattern-keyed :class:`~repro.kernels.plans.FactorPlan`; the
+        factor is bit-identical to the sequential reference
+        (:meth:`factor_reference`), and ILU(k, τ) dropping is applied
+        at the end of each level.  ``method`` ("er" | "sr" | "none")
+        no longer changes the numeric path — every staged order gives
+        the same factor — it is validated, recorded in
+        :class:`FactorResult`, and selects the lower stage the
+        ``simulate_*`` paths model.
         """
         if not self._ready:
             raise RuntimeError("call setup(A) before factor()")
         opts = self.options
         method = method or self._resolve_method()
-        F = _scatter_values(self.S_perm, self.A_perm)
-        # the cache keys on F's pattern, so the solve plans built later
-        # (build_solver / the lazy solve path) reuse this same analysis
-        diag_pos = cached_analysis(F).diag_pos(
-            message="pattern has no diagonal entry in row {row}"
-        )
-        n = F.n_rows
-        m = self.m if method != "none" else n
-        if self.drop_threshold is not None:
-            thresh = self.drop_threshold
-
-            def on_done(r):
-                drop_row_fixed_pattern(
-                    F, r, diag_pos, thresh[r], modified=opts.modified
-                )
-
-        else:
-            on_done = None
-        for r in range(m):
-            factor_row(F, r, diag_pos, pivot_tol=opts.pivot_tol)
-            if on_done is not None:
-                on_done(r)
-        if method == "er":
-            factor_lower_er(
-                F, self.m, diag_pos, pivot_tol=opts.pivot_tol, on_row_complete=on_done
-            )
-        elif method == "sr":
-            sr = SegmentedRows.build(
-                self.S_perm, self.m, self.level_ptr, tile_size=opts.tile_size
-            )
-            factor_lower_sr(
-                F, sr, diag_pos, pivot_tol=opts.pivot_tol, on_row_complete=on_done
-            )
-        elif method != "none":
+        if method not in ("er", "sr", "none"):
             raise ValueError(f"unknown lower method {method!r}")
+        F = _scatter_values(self.S_perm, self.A_perm)
+        # the plan is cached on F's pattern, so the solve plans built
+        # later (build_solver / the lazy solve path) reuse its level sets
+        get_kernel("ilu_factor")(
+            F,
+            pivot_tol=opts.pivot_tol,
+            drop_threshold=self.drop_threshold,
+            modified=opts.modified,
+        )
         self.F = F
         self._factored = True
         self._solver = None  # values changed; sweeps rebind on next solve
@@ -286,20 +265,12 @@ class JavelinILU:
         """
         if not self._ready:
             raise RuntimeError("call setup(A) before factor_reference()")
-        if self.drop_threshold is None:
-            return ilu_factor_sequential(
-                self.A_perm, self.S_perm, pivot_tol=self.options.pivot_tol
-            )
-        F = _scatter_values(self.S_perm, self.A_perm)
-        diag_pos = cached_analysis(F).diag_pos(
-            message="pattern has no diagonal entry in row {row}"
+        return get_kernel("ilu_factor", "scalar")(
+            _scatter_values(self.S_perm, self.A_perm),
+            pivot_tol=self.options.pivot_tol,
+            drop_threshold=self.drop_threshold,
+            modified=self.options.modified,
         )
-        for r in range(F.n_rows):
-            factor_row(F, r, diag_pos, pivot_tol=self.options.pivot_tol)
-            drop_row_fixed_pattern(
-                F, r, diag_pos, self.drop_threshold[r], modified=self.options.modified
-            )
-        return F
 
     # ------------------------------------------------------------------
     # preconditioner application

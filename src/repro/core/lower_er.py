@@ -23,6 +23,7 @@ import numpy as np
 from ..machine.core import SimMachine
 from ..machine.trace import ExecutionTrace
 from ..sparse.csr import CSRMatrix
+from .breakdown import classify_pivot
 from .iluk import PivotBreakdownError
 
 __all__ = ["EvenRows", "factor_lower_er", "simulate_lower_er"]
@@ -64,8 +65,9 @@ def _factor_row_range(F: CSRMatrix, i, diag_pos, col_lo, col_hi, *, pivot_tol=0.
         if c < col_lo:
             continue
         pivot = data[diag_pos[c]]
-        if abs(pivot) <= pivot_tol:
-            raise PivotBreakdownError(c, pivot)
+        # same test as factor_row: zero, tiny, NaN and Inf all fail it
+        if not (pivot_tol < abs(pivot) < np.inf):
+            raise PivotBreakdownError(c, pivot, kind=classify_pivot(pivot, pivot_tol))
         lic = data[kk] / pivot
         data[kk] = lic
         c_lo, c_hi = int(indptr[c]), int(indptr[c + 1])
@@ -81,22 +83,18 @@ def _factor_row_range(F: CSRMatrix, i, diag_pos, col_lo, col_hi, *, pivot_tol=0.
             data[lo + pos[hit]] -= lic * data[c_lo + start : c_hi][hit]
 
 
-def factor_lower_er(F: CSRMatrix, m, diag_pos, *, pivot_tol=0.0, on_row_complete=None):
+def factor_lower_er(F: CSRMatrix, m, diag_pos, *, pivot_tol=0.0):
     """Numerically factor lower rows with the ER phase structure.
 
     Phase 1 (parallel in the real runtime): per row, eliminate columns
     ``< m``.  Phase 2: factor the corner block row by row.  Row-internal
     column order is preserved, so the result matches the reference.
-    ``on_row_complete(r)`` fires when a row is final (after its corner
-    columns) — the hook ILU(k, τ) dropping attaches to.
     """
     n = F.n_rows
     for r in range(m, n):
         _factor_row_range(F, r, diag_pos, 0, m, pivot_tol=pivot_tol)
     for r in range(m, n):
         _factor_row_range(F, r, diag_pos, m, r, pivot_tol=pivot_tol)
-        if on_row_complete is not None:
-            on_row_complete(r)
     return F
 
 

@@ -34,6 +34,7 @@ from ..machine.core import SimMachine
 from ..machine.tasking import TaskGraph, simulate_task_graph
 from ..machine.trace import ExecutionTrace
 from ..sparse.csr import CSRMatrix
+from .breakdown import classify_pivot
 from .iluk import PivotBreakdownError
 from .lower_er import _factor_row_range
 
@@ -105,7 +106,7 @@ class SegmentedRows:
         return int(np.searchsorted(self.level_ptr, c, side="right")) - 1
 
 
-def factor_lower_sr(F: CSRMatrix, sr: SegmentedRows, diag_pos, *, pivot_tol=0.0, on_row_complete=None):
+def factor_lower_sr(F: CSRMatrix, sr: SegmentedRows, diag_pos, *, pivot_tol=0.0):
     """Numerically factor the lower rows with the SR phase structure.
 
     Subblocks are processed in ascending level; within a subblock,
@@ -118,8 +119,9 @@ def factor_lower_sr(F: CSRMatrix, sr: SegmentedRows, diag_pos, *, pivot_tol=0.0,
     for lvl in range(sr.n_levels):
         for kk, r, c in sr.sub_entries[lvl]:
             pivot = data[diag_pos[c]]
-            if abs(pivot) <= pivot_tol:
-                raise PivotBreakdownError(int(c), pivot)
+            # same test as factor_row: zero, tiny, NaN and Inf all fail it
+            if not (pivot_tol < abs(pivot) < np.inf):
+                raise PivotBreakdownError(int(c), pivot, kind=classify_pivot(pivot, pivot_tol))
             lic = data[kk] / pivot
             data[kk] = lic
             c_lo, c_hi = int(indptr[c]), int(indptr[c + 1])
@@ -139,8 +141,6 @@ def factor_lower_sr(F: CSRMatrix, sr: SegmentedRows, diag_pos, *, pivot_tol=0.0,
     # corner FACTOR_LU
     for r in range(m, n):
         _factor_row_range(F, r, diag_pos, m, r, pivot_tol=pivot_tol)
-        if on_row_complete is not None:
-            on_row_complete(r)
     return F
 
 

@@ -28,6 +28,7 @@ from ..obs import spans as _spans
 from ..sparse.csr import CSRMatrix
 from .plans import (
     backward_level_sets,
+    build_factor_plan,
     build_trisolve_plan,
     diag_positions,
     forward_level_sets,
@@ -83,7 +84,9 @@ def freeze_product(obj):
                   "step_ptr", "thread_ptr", "thread_of", "step_of",
                   "step_level_ptr", "seg_rows", "seg_ptr", "seg_ent_ptr",
                   # elastic schedules (repro.sched)
-                  "block_of", "final_sweep", "ent_ptr"):
+                  "block_of", "final_sweep", "ent_ptr",
+                  # numeric factor plans (repro.kernels.factor)
+                  "level_step_ptr", "kk", "piv", "pair_ptr", "tgt", "src", "ent"):
         arr = getattr(obj, field, None)
         if isinstance(arr, np.ndarray):
             arr.flags.writeable = False
@@ -187,6 +190,15 @@ class SymbolicAnalysis:
                 part,
                 levels=self.levels(part),
                 diag_idx=self.diag_pos() if part == "upper" else None,
+            ),
+        )
+
+    def factor_plan(self):
+        """The level-batched numeric ILU plan (reuses levels + diag_pos)."""
+        return self._get(
+            "factor_plan",
+            lambda: build_factor_plan(
+                self._pattern, levels=self.levels("lower"), diag_idx=self.diag_pos()
             ),
         )
 

@@ -15,6 +15,13 @@ sequentially in that order — exactly the scalar reference's
 ``s += data[k] * y[col[k]]`` loop, so the two backends agree
 bit-for-bit.
 
+A :class:`FactorPlan` drives the level-batched numeric ILU
+(:mod:`repro.kernels.factor`): every strict-lower entry becomes one
+division in a *step* ``(level, in-row rank)``, and each step carries the
+``(target, source)`` multiply-subtract pairs its entries scatter into
+their rows — the same operations, in the same per-entry order, as the
+row-at-a-time :func:`~repro.core.iluk.factor_row`.
+
 Also here: the array-level level-set computations shared by the plans
 and the symbolic cache, and the whole-matrix diagonal locator.
 """
@@ -30,6 +37,8 @@ from ..ordering.levelsets import LevelSets
 __all__ = [
     "TriSolvePlan",
     "build_trisolve_plan",
+    "FactorPlan",
+    "build_factor_plan",
     "forward_level_sets",
     "backward_level_sets",
     "diag_positions",
@@ -174,6 +183,141 @@ def build_trisolve_plan(pattern, part, *, levels=None, diag_idx=None) -> TriSolv
         ent_local=ent_local,
         lev_ent_ptr=lev_ent_ptr,
         diag_idx=diag_idx,
+    )
+
+
+@dataclass
+class FactorPlan:
+    """Step schedule of the level-batched numeric ILU on one pattern.
+
+    Step ``s`` covers the strict-lower entries ``kk[step_ptr[s]:
+    step_ptr[s+1]]`` (storage slots, ascending row) that sit at one
+    in-row rank of the rows of one level; ``piv`` is each entry's pivot
+    slot ``diag_idx[col]``.  Its multiply-subtract pairs are
+    ``tgt/src/ent[pair_ptr[s]:pair_ptr[s+1]]``: ``data[tgt] -=
+    lic[ent] * data[src]`` where ``lic`` is the step's multiplier vector
+    and ``src`` runs over the pivot row's strict-upper entries that meet
+    the target row's pattern.  Level ``l`` owns steps
+    ``level_step_ptr[l]:level_step_ptr[l+1]``; ``rows``/``level_ptr``
+    (the forward level sets) and ``diag_idx`` are shared with the cache.
+    Entry and pair arrays are int32 (int64 past 2**31 stored entries).
+    """
+
+    rows: np.ndarray
+    level_ptr: np.ndarray
+    diag_idx: np.ndarray
+    level_step_ptr: np.ndarray
+    step_ptr: np.ndarray
+    kk: np.ndarray
+    piv: np.ndarray
+    pair_ptr: np.ndarray
+    tgt: np.ndarray
+    src: np.ndarray
+    ent: np.ndarray
+
+    @property
+    def n_levels(self):
+        return self.level_ptr.shape[0] - 1
+
+    @property
+    def n_steps(self):
+        return self.step_ptr.shape[0] - 1
+
+
+#: candidate pairs expanded per chunk by :func:`build_factor_plan`; bounds
+#: its int64 temporaries to a few MB whatever the pattern size
+FACTOR_PLAN_CHUNK = 1 << 16
+
+
+def build_factor_plan(pattern, *, levels=None, diag_idx=None) -> FactorPlan:
+    """Build the :class:`FactorPlan` of ``pattern`` with array operations.
+
+    Strict-lower entries are ordered by one stable argsort on
+    ``(level(row), rank)``, so a step lists its rows in ascending order.
+    The pivot rows' strict-upper entries are expanded in that order,
+    about :data:`FACTOR_PLAN_CHUNK` candidates at a time, and
+    located in the target row with one ``searchsorted`` over global
+    ``(row, col)`` keys; hits are kept, so the pairs come out grouped by
+    step.  ``levels``/``diag_idx`` are supplied by the symbolic cache.
+    """
+    n = pattern.n_rows
+    indptr = np.asarray(pattern.indptr, dtype=np.int64)
+    indices = np.asarray(pattern.indices, dtype=np.int64)
+    if levels is None:
+        levels = forward_level_sets(pattern)
+    if diag_idx is None:
+        diag_idx = diag_positions(pattern)
+    level_ptr = np.asarray(levels.level_ptr)
+    n_levels = level_ptr.shape[0] - 1
+    row_of = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    lower = np.flatnonzero(indices < row_of)
+    rows_l = row_of[lower]
+    rank = lower - indptr[rows_l]
+    width = int(rank.max()) + 1 if lower.size else 1
+    step_key = np.asarray(levels.level_of, dtype=np.int64)[rows_l] * width + rank
+    order = np.argsort(step_key, kind="stable")  # stable: rows ascend in a step
+    kk = lower[order]
+    step_key = step_key[order]
+    del lower, rows_l, rank, order
+    first = np.flatnonzero(np.diff(step_key)) + 1
+    step_ptr = np.concatenate(([0], first, [kk.size])) if kk.size else np.zeros(1, np.int64)
+    step_level = step_key[step_ptr[:-1]] // width
+    level_step_ptr = np.searchsorted(step_level, np.arange(n_levels + 1))
+    del step_key, first, step_level
+
+    # pairs: entry (i, c) scatters the pivot row c's strict-upper entries
+    # into the positions of row i with the same column
+    ncol = np.int64(pattern.n_cols)
+    keys = row_of * ncol + indices
+    tgt_row = row_of[kk]
+    del row_of
+    piv_row = indices[kk]
+    piv = np.asarray(diag_idx, dtype=np.int64)[piv_row]
+    u_lo = piv + 1
+    cnt = indptr[piv_row + 1] - u_lo
+    cum = np.concatenate(([0], np.cumsum(cnt)))
+    nnz = keys.shape[0]
+    idx_t = np.int32 if nnz < 2**31 else np.int64
+    tgts, srcs, ents = [], [], []
+    e_lo = 0
+    while e_lo < kk.size:
+        e_hi = int(np.searchsorted(cum, cum[e_lo] + FACTOR_PLAN_CHUNK, side="right")) - 1
+        e_hi = max(e_hi, e_lo + 1)
+        c = cnt[e_lo:e_hi]
+        total = int(cum[e_hi] - cum[e_lo])
+        if total:
+            src = np.repeat(u_lo[e_lo:e_hi] - (cum[e_lo:e_hi] - cum[e_lo]), c)
+            src += np.arange(total, dtype=np.int64)
+            want = np.repeat(tgt_row[e_lo:e_hi] * ncol, c) + indices[src]
+            pos = np.searchsorted(keys, want)
+            np.minimum(pos, nnz - 1, out=pos)
+            hit = keys[pos] == want
+            tgts.append(pos[hit].astype(idx_t))
+            srcs.append(src[hit].astype(idx_t))
+            ents.append(np.repeat(np.arange(e_lo, e_hi, dtype=idx_t), c)[hit])
+        e_lo = e_hi
+    del keys, u_lo, cnt, cum, tgt_row
+    cat = lambda parts: np.concatenate(parts) if parts else np.empty(0, dtype=idx_t)
+    tgt, src, ent = cat(tgts), cat(srcs), cat(ents)
+    # entries are in step order, hence so are the pairs; make ``ent``
+    # step-local and cut the pair boundaries per step
+    n_steps = step_ptr.shape[0] - 1
+    pair_step = np.repeat(np.arange(n_steps, dtype=idx_t), np.diff(step_ptr))[ent]
+    pair_ptr = np.zeros(n_steps + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pair_step, minlength=n_steps), out=pair_ptr[1:])
+    ent -= step_ptr[:-1].astype(idx_t)[pair_step]
+    return FactorPlan(
+        rows=levels.rows,
+        level_ptr=levels.level_ptr,
+        diag_idx=diag_idx,
+        level_step_ptr=level_step_ptr.astype(np.int64),
+        step_ptr=step_ptr.astype(np.int64),
+        kk=kk.astype(idx_t),
+        piv=piv.astype(idx_t),
+        pair_ptr=pair_ptr,
+        tgt=tgt,
+        src=src,
+        ent=ent,
     )
 
 

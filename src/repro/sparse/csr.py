@@ -69,25 +69,30 @@ class CSRMatrix:
         if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n_cols):
             raise ValueError("column index out of range")
 
+    def _row_of(self):
+        return np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr))
+
+    def _unsorted_at(self, row_of):
+        """Mask of positions whose column is below the previous one in-row."""
+        idx = self.indices
+        return (idx[1:] < idx[:-1]) & (row_of[1:] == row_of[:-1])
+
     def sort_indices(self):
-        """Sort column indices (and values) within every row, in place."""
-        indptr, indices, data = self.indptr, self.indices, self.data
-        for r in range(self.n_rows):
-            lo, hi = indptr[r], indptr[r + 1]
-            if hi - lo > 1:
-                seg = indices[lo:hi]
-                if np.any(seg[1:] < seg[:-1]):
-                    order = np.argsort(seg, kind="stable")
-                    indices[lo:hi] = seg[order]
-                    data[lo:hi] = data[lo:hi][order]
+        """Sort column indices (and values) within every row, in place.
+
+        One stable argsort on global ``(row, column)`` keys: equal
+        columns keep their storage order, exactly like a stable per-row
+        sort, and an already sorted matrix is left untouched (no writes).
+        """
+        row_of = self._row_of()
+        if np.any(self._unsorted_at(row_of)):
+            order = np.argsort(row_of * self.n_cols + self.indices, kind="stable")
+            self.indices[:] = self.indices[order]
+            self.data[:] = self.data[order]
         return self
 
     def has_sorted_indices(self):
-        for r in range(self.n_rows):
-            seg = self.indices[self.indptr[r] : self.indptr[r + 1]]
-            if np.any(seg[1:] < seg[:-1]):
-                return False
-        return True
+        return not np.any(self._unsorted_at(self._row_of()))
 
     def has_duplicates(self):
         for r in range(self.n_rows):
@@ -206,14 +211,12 @@ class CSRMatrix:
             lens = np.diff(A.indptr)[row_perm]
             indptr = np.zeros(self.n_rows + 1, dtype=np.int64)
             np.cumsum(lens, out=indptr[1:])
-            indices = np.empty(A.nnz, dtype=np.int64)
-            data = np.empty(A.nnz)
-            for new_r in range(self.n_rows):
-                old_r = row_perm[new_r]
-                lo, hi = A.indptr[old_r], A.indptr[old_r + 1]
-                nlo = indptr[new_r]
-                indices[nlo : nlo + hi - lo] = A.indices[lo:hi]
-                data[nlo : nlo + hi - lo] = A.data[lo:hi]
+            # gather every new row's storage run in one shot
+            src = np.repeat(A.indptr[row_perm] - indptr[:-1], lens) + np.arange(
+                A.nnz, dtype=np.int64
+            )
+            indices = A.indices[src]
+            data = A.data[src]
             A = CSRMatrix(self.n_rows, self.n_cols, indptr, indices, data, sort=False, check=False)
         if col_perm is not None:
             col_perm = np.asarray(col_perm, dtype=np.int64)

@@ -181,7 +181,7 @@ def validate_analysis(ana: Any, *, name: str = "SymbolicAnalysis") -> bool:
     mutation of a shared cache entry is caught at the next lookup.
     """
     from ..kernels.cache import SymbolicAnalysis  # noqa: F401  (type anchor)
-    from ..kernels.plans import TriSolvePlan
+    from ..kernels.plans import FactorPlan, TriSolvePlan
     from ..ordering.levelsets import LevelSets
     from ..sched.elastic import ElasticSchedule
     from ..sched.superstep import SuperstepPlan, validate_superstep_plan
@@ -202,6 +202,10 @@ def validate_analysis(ana: Any, *, name: str = "SymbolicAnalysis") -> bool:
             elif isinstance(item, TriSolvePlan):
                 validate_plan(item, pat, name=where)
                 for f in ("rows", "level_ptr", "ent_idx", "ent_local", "lev_ent_ptr", "diag_idx"):
+                    _assert_frozen(getattr(item, f), f"{key}.{f}", name)
+            elif isinstance(item, FactorPlan):
+                for f in ("level_step_ptr", "step_ptr", "kk", "piv",
+                          "pair_ptr", "tgt", "src", "ent"):
                     _assert_frozen(getattr(item, f), f"{key}.{f}", name)
             elif isinstance(item, SuperstepPlan):
                 if pat is not None:

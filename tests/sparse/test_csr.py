@@ -151,3 +151,50 @@ class TestNumerics:
         B = A.copy()
         B.data[:] = 0
         assert A.data.sum() != 0
+
+
+def _sorted_per_row(indptr, indices, data):
+    """Per-row stable sort: the reference the vectorized sort must match."""
+    indices, data = indices.copy(), data.copy()
+    for r in range(len(indptr) - 1):
+        lo, hi = indptr[r], indptr[r + 1]
+        order = np.argsort(indices[lo:hi], kind="stable")
+        indices[lo:hi] = indices[lo:hi][order]
+        data[lo:hi] = data[lo:hi][order]
+    return indices, data
+
+
+class TestVectorizedSortAndPermute:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_sort_indices_matches_stable_per_row_sort(self, seed):
+        """Unsorted rows with duplicate columns: bitwise the per-row result."""
+        rng = np.random.default_rng(seed)
+        n, m = 9, 5
+        lens = rng.integers(0, 7, n)
+        indptr = np.concatenate(([0], np.cumsum(lens)))
+        indices = rng.integers(0, m, indptr[-1])  # duplicates on purpose
+        data = rng.standard_normal(indptr[-1])
+        want_idx, want_data = _sorted_per_row(indptr, indices, data)
+        A = CSRMatrix(n, m, indptr, indices.copy(), data.copy(), check=False)
+        assert np.array_equal(A.indices, want_idx)
+        assert np.array_equal(A.data, want_data)
+        assert A.has_sorted_indices()
+
+    def test_sorted_matrix_is_not_written(self):
+        A = from_dense(random_sparse_dense(8, 0.3, seed=2))
+        A.indices.flags.writeable = False
+        A.data.flags.writeable = False
+        A.sort_indices()  # nothing to do: no write, so no error
+
+    def test_permute_matches_row_by_row_gather(self, rng):
+        A = from_dense(random_sparse_dense(15, 0.3, seed=8))
+        p = rng.permutation(15)
+        B = A.permute(p, p)
+        inv = np.empty_like(p)
+        inv[p] = np.arange(15)
+        for new_r, old_r in enumerate(p):
+            cols, vals = A.row(old_r)
+            order = np.argsort(inv[cols], kind="stable")
+            got_cols, got_vals = B.row(new_r)
+            assert np.array_equal(got_cols, inv[cols][order])
+            assert np.array_equal(got_vals, vals[order])

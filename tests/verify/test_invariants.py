@@ -119,6 +119,17 @@ def test_cached_products_are_frozen_and_validate():
     assert validate_analysis(ana)
 
 
+def test_cached_factor_plan_is_frozen_and_validates():
+    S = random_csr(30, 0.2, 13)
+    ana = cached_analysis(S)
+    plan = ana.factor_plan()
+    assert not plan.tgt.flags.writeable
+    assert validate_analysis(ana)
+    plan.tgt.flags.writeable = True  # simulate a hostile mutation
+    with pytest.raises(InvariantViolation, match="frozen"):
+        validate_analysis(ana)
+
+
 def test_thawed_cache_array_fails_validation():
     S = random_csr(30, 0.2, 9)
     ana = cached_analysis(S)
