@@ -302,39 +302,20 @@ class JavelinILU:
         per-level structures come from the pattern-keyed symbolic cache,
         built once and reused across the thousands of preconditioner
         applications a Krylov loop performs (§VI).  Results match
-        :meth:`solve` bit-for-bit.
+        :meth:`solve` bit-for-bit.  ``b`` is a vector or an ``(n, k)``
+        block (the permutation acts on axis 0); column ``j`` of a block
+        apply is bit-identical to the vector apply of ``b[:, j]``.
         """
         if not self._factored:
             raise RuntimeError("call factor() before build_solver()")
         lv = LevelizedTriangularSolver(self.F)
-        perm, inv = self.perm, self.inv_perm
+        perm = self.perm
 
         def apply(b):
             xp = lv.solve(np.asarray(b, dtype=np.float64)[perm])
             x = np.empty_like(xp)
             x[perm] = xp
             return x
-
-        return apply
-
-    def build_multi_solver(self):
-        """A reusable multi-RHS preconditioner apply: ``apply(B) -> X``.
-
-        ``B`` is a 2-D block of shape ``(n, k)``; column ``j`` of the
-        result is bit-identical to ``build_solver()(B[:, j])`` — the
-        multi-RHS sweeps only amortize per-level dispatch across the
-        block (the serving layer's micro-batch contract).
-        """
-        if not self._factored:
-            raise RuntimeError("call factor() before build_multi_solver()")
-        lv = LevelizedTriangularSolver(self.F)
-        perm = self.perm
-
-        def apply(B):
-            Xp = lv.solve_multi(np.asarray(B, dtype=np.float64)[perm, :])
-            X = np.empty_like(Xp)
-            X[perm, :] = Xp
-            return X
 
         return apply
 

@@ -40,7 +40,6 @@ __all__ = [
     "trisolve_upper_levels",
     "trisolve_factor",
     "trisolve_factor_levels",
-    "trisolve_factor_multi",
     "upper_solve_levels",
     "LevelizedTriangularSolver",
     "simulate_trisolve_barrier",
@@ -88,7 +87,11 @@ def trisolve_upper_levels(F: CSRMatrix, y, *, plan=None, backend="batched"):
 
 
 def trisolve_factor(F: CSRMatrix, b):
-    """Apply the full preconditioner solve ``x = U⁻¹ L⁻¹ b`` (scalar)."""
+    """Apply the full preconditioner solve ``x = U⁻¹ L⁻¹ b`` (scalar).
+
+    ``b`` is a vector or an ``(n, k)`` block; column ``j`` of a block
+    solve is bit-identical to the vector solve of ``b[:, j]``.
+    """
     return trisolve_upper_serial(F, trisolve_lower_serial(F, b))
 
 
@@ -98,22 +101,6 @@ def trisolve_factor_levels(F: CSRMatrix, b, *, analysis=None):
         analysis = cached_analysis(F)
     y = trisolve_lower_levels(F, b, plan=analysis.plan("lower"))
     return trisolve_upper_levels(F, y, plan=analysis.plan("upper"))
-
-
-def trisolve_factor_multi(F: CSRMatrix, B, *, analysis=None, backend=None):
-    """Multi-RHS ``X = U⁻¹ L⁻¹ B`` on a 2-D block ``B`` of shape ``(n, k)``.
-
-    Column ``j`` of the result is bit-identical to
-    ``trisolve_factor_levels(F, B[:, j])`` (and so to the scalar
-    reference) — the multi-RHS kernels keep each column's accumulation
-    order unchanged and only amortize the per-level dispatch across the
-    block.  This is the warm-path kernel behind
-    :mod:`repro.serve`'s micro-batched preconditioner applies.
-    """
-    if analysis is None:
-        analysis = cached_analysis(F)
-    Y = get_kernel("trisolve_lower_multi", backend)(F, B, plan=analysis.plan("lower"))
-    return get_kernel("trisolve_upper_multi", backend)(F, Y, plan=analysis.plan("upper"))
 
 
 # ----------------------------------------------------------------------
@@ -169,17 +156,8 @@ class LevelizedTriangularSolver:
         return trisolve_upper_levels(self.F, y, plan=self._bwd_plan)
 
     def solve(self, b):
-        """Apply the preconditioner: ``x = U⁻¹ L⁻¹ b``."""
+        """Apply the preconditioner: ``x = U⁻¹ L⁻¹ b`` (vector or block)."""
         return self.backward(self.forward(b))
-
-    def solve_multi(self, B):
-        """Multi-RHS apply on a 2-D block ``B`` of shape ``(n, k)``.
-
-        Bit-identical per column to :meth:`solve` — see
-        :func:`trisolve_factor_multi` for the contract.
-        """
-        Y = get_kernel("trisolve_lower_multi")(self.F, B, plan=self._fwd_plan)
-        return get_kernel("trisolve_upper_multi")(self.F, Y, plan=self._bwd_plan)
 
 
 # ----------------------------------------------------------------------

@@ -15,17 +15,24 @@ and ``np.bincount`` performs the per-row segment sums strictly
 sequentially in the same entry order.  Tests assert exact equality, not
 closeness.
 
-The ``*_multi`` kernels extend the contract to a 2-D right-hand side
-``B`` of shape ``(n, k)`` — the multi-RHS sweeps behind the serving
-layer's micro-batches (:mod:`repro.serve`).  Column ``j`` of the result
-is bit-identical to the 1-RHS sweep on ``B[:, j]``: the batched backend
-flattens the per-level segment sum to bins ``(local_row * k + column)``,
-so each ``(row, column)`` bin accumulates its entries in exactly the
-ascending entry order of the 1-RHS ``np.bincount`` — same products,
-same addition order, same floats.  What batching buys is amortization:
-the per-level gather/reduce overhead (the dominant cost on the many
-small levels of a triangular schedule) is paid once per level instead
-of once per level *per request*.
+Every sweep takes a right-hand side of shape ``(n,)`` or a block of
+shape ``(n, k)`` (the micro-batches of :mod:`repro.serve`).  Column
+``j`` of a block solve is bit-identical to the vector solve of column
+``j``: the scalar row update does the same float operations elementwise
+on a row of the block, and the batched sweep flattens the per-level
+segment sum to bins ``local_row * k + column``, so each ``(row,
+column)`` bin accumulates its entries in the ascending entry order of
+the vector ``np.bincount``.  What a block buys is amortization: the
+per-level gather/reduce overhead is paid once per level instead of once
+per level per column.
+
+There is one body per backend: :func:`solve_row` is the scalar row
+update (also the unit of work of the threaded executors in
+:mod:`repro.runtime` and :mod:`repro.sched`), and ``_sweep`` is the
+batched one.  The plain and superstep kernels differ only in the row
+order or the segmentation they hand to these: a superstep plan's
+``(superstep, level)`` segments are just another grouping of rows into
+independent sets.
 """
 
 from __future__ import annotations
@@ -35,210 +42,78 @@ import numpy as np
 from .cache import cached_analysis
 from .registry import register_kernel
 
-__all__ = []  # access via repro.kernels.get_kernel
+__all__ = ["solve_row"]  # the sweeps themselves: via repro.kernels.get_kernel
+
+
+def _as_rhs(rhs):
+    rhs = np.asarray(rhs, dtype=np.float64)
+    if rhs.ndim not in (1, 2):
+        raise ValueError(
+            f"trisolve kernels take a vector or a 2-D block, got shape {rhs.shape}"
+        )
+    return rhs
+
+
+def _resolve_plan(F, part, plan, n_threads=None):
+    """The given plan (checked against ``part``), else the cached one.
+
+    ``n_threads`` selects the cached superstep plan instead of the
+    level-set plan.
+    """
+    if plan is None:
+        analysis = cached_analysis(F)
+        if n_threads is None:
+            return analysis.plan(part)
+        return analysis.superstep_plan(part, n_threads=n_threads)
+    if plan.part != part:
+        raise ValueError(f"plan is for part {plan.part!r}, kernel needs {part!r}")
+    return plan
 
 
 # ----------------------------------------------------------------------
 # scalar reference
 # ----------------------------------------------------------------------
+def solve_row(F, out, rhs, r, upper):
+    """Solve row ``r`` of ``F``'s lower (unit) or upper part into ``out``.
+
+    Reads the already-final solution rows of the strict part in
+    ascending column order; ``out``/``rhs`` are vectors or ``(n, k)``
+    blocks (then every float operation runs elementwise on row ``r``).
+    """
+    indptr, indices, data = F.indptr, F.indices, F.data
+    lo, hi = int(indptr[r]), int(indptr[r + 1])
+    cut = lo + int(np.searchsorted(indices[lo:hi], r))
+    if upper:
+        if cut >= hi or indices[cut] != r:
+            raise ValueError(f"missing diagonal in factored row {r}")
+        ents = range(cut + 1, hi)
+    else:
+        ents = range(lo, cut)
+    # sequential entry-order accumulation (np.dot may pair products)
+    s = 0.0
+    for kk in ents:
+        s += data[kk] * out[indices[kk]]
+    out[r] = (rhs[r] - s) / data[cut] if upper else rhs[r] - s
+
+
+def _solve_rows(F, rhs, order, upper):
+    rhs = _as_rhs(rhs)
+    out = np.empty((F.n_rows,) + rhs.shape[1:])
+    for r in order:
+        solve_row(F, out, rhs, int(r), upper)
+    return out
+
+
 @register_kernel("trisolve_lower", "scalar")
 def trisolve_lower_scalar(F, b, plan=None):
     """Forward solve ``L y = b`` (unit diagonal), one row at a time."""
-    b = np.asarray(b, dtype=np.float64)
-    n = F.n_rows
-    y = np.empty(n)
-    indptr, indices, data = F.indptr, F.indices, F.data
-    for i in range(n):
-        lo, hi = int(indptr[i]), int(indptr[i + 1])
-        cols = indices[lo:hi]
-        cut = int(np.searchsorted(cols, i))
-        s = 0.0
-        for kk in range(lo, lo + cut):
-            s += data[kk] * y[indices[kk]]
-        y[i] = b[i] - s
-    return y
+    return _solve_rows(F, b, range(F.n_rows), upper=False)
 
 
 @register_kernel("trisolve_upper", "scalar")
 def trisolve_upper_scalar(F, y, plan=None):
     """Backward solve ``U x = y``, one row at a time."""
-    y = np.asarray(y, dtype=np.float64)
-    n = F.n_rows
-    x = np.empty(n)
-    indptr, indices, data = F.indptr, F.indices, F.data
-    for i in range(n - 1, -1, -1):
-        lo, hi = int(indptr[i]), int(indptr[i + 1])
-        cols = indices[lo:hi]
-        cut = int(np.searchsorted(cols, i))
-        if cut >= hi - lo or cols[cut] != i:
-            raise ValueError(f"missing diagonal in factored row {i}")
-        s = 0.0
-        for kk in range(lo + cut + 1, hi):
-            s += data[kk] * x[indices[kk]]
-        x[i] = (y[i] - s) / data[lo + cut]
-    return x
-
-
-# ----------------------------------------------------------------------
-# level-batched backend
-# ----------------------------------------------------------------------
-def _resolve_plan(F, part, plan):
-    if plan is None:
-        plan = cached_analysis(F).plan(part)
-    elif plan.part != part:
-        raise ValueError(f"plan is for part {plan.part!r}, kernel needs {part!r}")
-    return plan
-
-
-@register_kernel("trisolve_lower", "batched", default=True)
-def trisolve_lower_batched(F, b, plan=None):
-    """Forward solve, one gather/multiply/segment-reduce per level."""
-    plan = _resolve_plan(F, "lower", plan)
-    b = np.asarray(b, dtype=np.float64)
-    data, indices = F.data, F.indices
-    y = np.empty(plan.n)
-    rows, level_ptr = plan.rows, plan.level_ptr
-    ent_idx, ent_local, eptr = plan.ent_idx, plan.ent_local, plan.lev_ent_ptr
-    for l in range(plan.n_levels):
-        rlo, rhi = level_ptr[l], level_ptr[l + 1]
-        rows_l = rows[rlo:rhi]
-        elo, ehi = eptr[l], eptr[l + 1]
-        if ehi > elo:
-            ents = ent_idx[elo:ehi]
-            prod = data[ents] * y[indices[ents]]
-            s = np.bincount(ent_local[elo:ehi], weights=prod, minlength=rhi - rlo)
-        else:
-            s = 0.0
-        y[rows_l] = b[rows_l] - s
-    return y
-
-
-@register_kernel("trisolve_upper", "batched", default=True)
-def trisolve_upper_batched(F, y, plan=None):
-    """Backward solve, one gather/multiply/segment-reduce per level."""
-    plan = _resolve_plan(F, "upper", plan)
-    y = np.asarray(y, dtype=np.float64)
-    data, indices = F.data, F.indices
-    x = np.empty(plan.n)
-    rows, level_ptr = plan.rows, plan.level_ptr
-    ent_idx, ent_local, eptr = plan.ent_idx, plan.ent_local, plan.lev_ent_ptr
-    diag_idx = plan.diag_idx
-    for l in range(plan.n_levels):
-        rlo, rhi = level_ptr[l], level_ptr[l + 1]
-        rows_l = rows[rlo:rhi]
-        elo, ehi = eptr[l], eptr[l + 1]
-        if ehi > elo:
-            ents = ent_idx[elo:ehi]
-            prod = data[ents] * x[indices[ents]]
-            s = np.bincount(ent_local[elo:ehi], weights=prod, minlength=rhi - rlo)
-        else:
-            s = 0.0
-        x[rows_l] = (y[rows_l] - s) / data[diag_idx[rows_l]]
-    return x
-
-
-# ----------------------------------------------------------------------
-# multi-RHS sweeps
-# ----------------------------------------------------------------------
-def _as_block(B):
-    B = np.asarray(B, dtype=np.float64)
-    if B.ndim != 2:
-        raise ValueError(f"multi-RHS kernels take a 2-D block, got shape {B.shape}")
-    return B
-
-
-@register_kernel("trisolve_lower_multi", "scalar")
-def trisolve_lower_multi_scalar(F, B, plan=None):
-    """Forward solve ``L Y = B``, one column at a time (reference)."""
-    B = _as_block(B)
-    cols = [trisolve_lower_scalar(F, B[:, j], plan=plan) for j in range(B.shape[1])]
-    return np.stack(cols, axis=1) if cols else np.empty((F.n_rows, 0))
-
-
-@register_kernel("trisolve_upper_multi", "scalar")
-def trisolve_upper_multi_scalar(F, Y, plan=None):
-    """Backward solve ``U X = Y``, one column at a time (reference)."""
-    Y = _as_block(Y)
-    cols = [trisolve_upper_scalar(F, Y[:, j], plan=plan) for j in range(Y.shape[1])]
-    return np.stack(cols, axis=1) if cols else np.empty((F.n_rows, 0))
-
-
-@register_kernel("trisolve_lower_multi", "batched", default=True)
-def trisolve_lower_multi_batched(F, B, plan=None):
-    """Forward solve ``L Y = B``: one gather/reduce per level for all columns.
-
-    Per column bit-identical to :func:`trisolve_lower_batched` (and so
-    to the scalar reference): the flattened bins ``local_row * k + j``
-    keep each column's per-row accumulation in the same ascending entry
-    order as the 1-RHS segment sum.
-    """
-    plan = _resolve_plan(F, "lower", plan)
-    B = _as_block(B)
-    k = B.shape[1]
-    if k == 0:
-        return np.empty((plan.n, 0))
-    data, indices = F.data, F.indices
-    Y = np.empty((plan.n, k))
-    rows, level_ptr = plan.rows, plan.level_ptr
-    ent_idx, ent_local, eptr = plan.ent_idx, plan.ent_local, plan.lev_ent_ptr
-    col_ix = np.arange(k, dtype=np.int64)
-    for l in range(plan.n_levels):
-        rlo, rhi = level_ptr[l], level_ptr[l + 1]
-        rows_l = rows[rlo:rhi]
-        elo, ehi = eptr[l], eptr[l + 1]
-        if ehi > elo:
-            ents = ent_idx[elo:ehi]
-            prod = data[ents, None] * Y[indices[ents], :]
-            bins = (ent_local[elo:ehi, None] * k + col_ix).ravel()
-            s = np.bincount(
-                bins, weights=prod.ravel(), minlength=(rhi - rlo) * k
-            ).reshape(rhi - rlo, k)
-        else:
-            s = 0.0
-        Y[rows_l, :] = B[rows_l, :] - s
-    return Y
-
-
-@register_kernel("trisolve_upper_multi", "batched", default=True)
-def trisolve_upper_multi_batched(F, Y, plan=None):
-    """Backward solve ``U X = Y`` for all columns at once (see lower)."""
-    plan = _resolve_plan(F, "upper", plan)
-    Y = _as_block(Y)
-    k = Y.shape[1]
-    if k == 0:
-        return np.empty((plan.n, 0))
-    data, indices = F.data, F.indices
-    X = np.empty((plan.n, k))
-    rows, level_ptr = plan.rows, plan.level_ptr
-    ent_idx, ent_local, eptr = plan.ent_idx, plan.ent_local, plan.lev_ent_ptr
-    diag_idx = plan.diag_idx
-    col_ix = np.arange(k, dtype=np.int64)
-    for l in range(plan.n_levels):
-        rlo, rhi = level_ptr[l], level_ptr[l + 1]
-        rows_l = rows[rlo:rhi]
-        elo, ehi = eptr[l], eptr[l + 1]
-        if ehi > elo:
-            ents = ent_idx[elo:ehi]
-            prod = data[ents, None] * X[indices[ents], :]
-            bins = (ent_local[elo:ehi, None] * k + col_ix).ravel()
-            s = np.bincount(
-                bins, weights=prod.ravel(), minlength=(rhi - rlo) * k
-            ).reshape(rhi - rlo, k)
-        else:
-            s = 0.0
-        X[rows_l, :] = (Y[rows_l, :] - s) / data[diag_idx[rows_l], None]
-    return X
-
-
-# ----------------------------------------------------------------------
-# superstep sweeps (repro.sched DAG-partition plans)
-# ----------------------------------------------------------------------
-def _resolve_superstep_plan(F, part, plan, n_threads):
-    if plan is None:
-        plan = cached_analysis(F).superstep_plan(part, n_threads=n_threads)
-    elif plan.part != part:
-        raise ValueError(f"plan is for part {plan.part!r}, kernel needs {part!r}")
-    return plan
+    return _solve_rows(F, y, range(F.n_rows - 1, -1, -1), upper=True)
 
 
 @register_kernel("trisolve_lower_superstep", "scalar")
@@ -249,41 +124,78 @@ def trisolve_lower_superstep_scalar(F, b, plan=None, *, n_threads=8):
     row's accumulation is the same ascending-entry sum as the serial
     reference — so the result is bit-identical to it.
     """
-    plan = _resolve_superstep_plan(F, "lower", plan, n_threads)
-    b = np.asarray(b, dtype=np.float64)
-    y = np.empty(plan.n)
-    indptr, indices, data = F.indptr, F.indices, F.data
-    for r in plan.rows:
-        r = int(r)
-        lo, hi = int(indptr[r]), int(indptr[r + 1])
-        cols = indices[lo:hi]
-        cut = int(np.searchsorted(cols, r))
-        s = 0.0
-        for kk in range(lo, lo + cut):
-            s += data[kk] * y[indices[kk]]
-        y[r] = b[r] - s
-    return y
+    plan = _resolve_plan(F, "lower", plan, n_threads)
+    return _solve_rows(F, b, plan.rows, upper=False)
 
 
 @register_kernel("trisolve_upper_superstep", "scalar")
 def trisolve_upper_superstep_scalar(F, y, plan=None, *, n_threads=8):
     """Backward solve in superstep execution order (scalar reference)."""
-    plan = _resolve_superstep_plan(F, "upper", plan, n_threads)
-    y = np.asarray(y, dtype=np.float64)
-    x = np.empty(plan.n)
-    indptr, indices, data = F.indptr, F.indices, F.data
-    for r in plan.rows:
-        r = int(r)
-        lo, hi = int(indptr[r]), int(indptr[r + 1])
-        cols = indices[lo:hi]
-        cut = int(np.searchsorted(cols, r))
-        if cut >= hi - lo or cols[cut] != r:
-            raise ValueError(f"missing diagonal in factored row {r}")
-        s = 0.0
-        for kk in range(lo + cut + 1, hi):
-            s += data[kk] * x[indices[kk]]
-        x[r] = (y[r] - s) / data[lo + cut]
-    return x
+    plan = _resolve_plan(F, "upper", plan, n_threads)
+    return _solve_rows(F, y, plan.rows, upper=True)
+
+
+# ----------------------------------------------------------------------
+# level-batched backend
+# ----------------------------------------------------------------------
+def _sweep(F, rhs, rows, seg_ptr, ent_idx, ent_local, ent_ptr, diag_idx):
+    """One gather/multiply/segment-reduce per segment of independent rows.
+
+    Segment ``g`` solves ``rows[seg_ptr[g]:seg_ptr[g+1]]``; its
+    strict-part entries are ``ent_idx[ent_ptr[g]:ent_ptr[g+1]]``, with
+    ``ent_local`` the row's index inside the segment.  ``diag_idx`` is
+    ``None`` for the unit-diagonal lower part.
+    """
+    rhs = _as_rhs(rhs)
+    if rhs.ndim == 2 and rhs.shape[1] == 1:
+        # a one-column block takes the vector path (no per-level reshapes)
+        x = _sweep(F, rhs[:, 0], rows, seg_ptr, ent_idx, ent_local, ent_ptr, diag_idx)
+        return x[:, None]
+    vec = rhs.ndim == 1
+    k = 1 if vec else rhs.shape[1]
+    col_ix = np.arange(k, dtype=np.int64)
+    data, indices = F.data, F.indices
+    out = np.empty((rows.shape[0],) + rhs.shape[1:])
+    for g in range(seg_ptr.shape[0] - 1):
+        rlo, rhi = seg_ptr[g], seg_ptr[g + 1]
+        rows_g = rows[rlo:rhi]
+        elo, ehi = ent_ptr[g], ent_ptr[g + 1]
+        if ehi == elo:
+            s = 0.0
+        elif vec:
+            ents = ent_idx[elo:ehi]
+            prod = data[ents] * out[indices[ents]]
+            s = np.bincount(ent_local[elo:ehi], weights=prod, minlength=rhi - rlo)
+        else:
+            ents = ent_idx[elo:ehi]
+            prod = data[ents, None] * out[indices[ents]]
+            bins = (ent_local[elo:ehi, None] * k + col_ix).ravel()
+            s = np.bincount(
+                bins, weights=prod.ravel(), minlength=(rhi - rlo) * k
+            ).reshape(rhi - rlo, k)
+        if diag_idx is None:
+            out[rows_g] = rhs[rows_g] - s
+        elif vec:
+            out[rows_g] = (rhs[rows_g] - s) / data[diag_idx[rows_g]]
+        else:
+            out[rows_g] = (rhs[rows_g] - s) / data[diag_idx[rows_g], None]
+    return out
+
+
+@register_kernel("trisolve_lower", "batched", default=True)
+def trisolve_lower_batched(F, b, plan=None):
+    """Forward solve, one gather/multiply/segment-reduce per level."""
+    p = _resolve_plan(F, "lower", plan)
+    return _sweep(F, b, p.rows, p.level_ptr, p.ent_idx, p.ent_local, p.lev_ent_ptr, None)
+
+
+@register_kernel("trisolve_upper", "batched", default=True)
+def trisolve_upper_batched(F, y, plan=None):
+    """Backward solve, one gather/multiply/segment-reduce per level."""
+    p = _resolve_plan(F, "upper", plan)
+    return _sweep(
+        F, y, p.rows, p.level_ptr, p.ent_idx, p.ent_local, p.lev_ent_ptr, p.diag_idx
+    )
 
 
 @register_kernel("trisolve_lower_superstep", "batched", default=True)
@@ -295,48 +207,17 @@ def trisolve_lower_superstep_batched(F, b, plan=None, *, n_threads=8):
     runs; ``np.bincount`` keeps each row's ascending entry order, hence
     bit-identity with the serial sweep.
     """
-    plan = _resolve_superstep_plan(F, "lower", plan, n_threads)
-    b = np.asarray(b, dtype=np.float64)
-    data, indices = F.data, F.indices
-    y = np.empty(plan.n)
-    seg_rows, seg_ptr = plan.seg_rows, plan.seg_ptr
-    ent_idx, ent_local, eptr = plan.ent_idx, plan.ent_local, plan.seg_ent_ptr
-    for g in range(plan.n_segments):
-        rlo, rhi = seg_ptr[g], seg_ptr[g + 1]
-        rows_g = seg_rows[rlo:rhi]
-        elo, ehi = eptr[g], eptr[g + 1]
-        if ehi > elo:
-            ents = ent_idx[elo:ehi]
-            prod = data[ents] * y[indices[ents]]
-            s = np.bincount(ent_local[elo:ehi], weights=prod, minlength=rhi - rlo)
-        else:
-            s = 0.0
-        y[rows_g] = b[rows_g] - s
-    return y
+    p = _resolve_plan(F, "lower", plan, n_threads)
+    return _sweep(F, b, p.seg_rows, p.seg_ptr, p.ent_idx, p.ent_local, p.seg_ent_ptr, None)
 
 
 @register_kernel("trisolve_upper_superstep", "batched", default=True)
 def trisolve_upper_superstep_batched(F, y, plan=None, *, n_threads=8):
     """Backward solve, one gather/reduce per (superstep, level) segment."""
-    plan = _resolve_superstep_plan(F, "upper", plan, n_threads)
-    y = np.asarray(y, dtype=np.float64)
-    data, indices = F.data, F.indices
-    x = np.empty(plan.n)
-    seg_rows, seg_ptr = plan.seg_rows, plan.seg_ptr
-    ent_idx, ent_local, eptr = plan.ent_idx, plan.ent_local, plan.seg_ent_ptr
-    diag_idx = plan.diag_idx
-    for g in range(plan.n_segments):
-        rlo, rhi = seg_ptr[g], seg_ptr[g + 1]
-        rows_g = seg_rows[rlo:rhi]
-        elo, ehi = eptr[g], eptr[g + 1]
-        if ehi > elo:
-            ents = ent_idx[elo:ehi]
-            prod = data[ents] * x[indices[ents]]
-            s = np.bincount(ent_local[elo:ehi], weights=prod, minlength=rhi - rlo)
-        else:
-            s = 0.0
-        x[rows_g] = (y[rows_g] - s) / data[diag_idx[rows_g]]
-    return x
+    p = _resolve_plan(F, "upper", plan, n_threads)
+    return _sweep(
+        F, y, p.seg_rows, p.seg_ptr, p.ent_idx, p.ent_local, p.seg_ent_ptr, p.diag_idx
+    )
 
 
 # ----------------------------------------------------------------------

@@ -522,19 +522,21 @@ class ResilientFactor:
     def build_multi_solver(self):
         """A multi-RHS apply ``apply(B) -> Z`` on a 2-D block ``(n, k)``.
 
-        When the chain's winner is an ILU variant, the block goes
-        through the multi-RHS level-batched sweeps
-        (:meth:`~repro.core.javelin.JavelinILU.build_multi_solver`) —
-        bit-identical per column to :meth:`solve` while amortizing the
-        per-level dispatch across the batch.  Fallback variants
+        When the chain's winner is an ILU variant, this is its
+        :meth:`~repro.core.javelin.JavelinILU.build_solver` apply: the
+        level-batched sweeps take the whole block at once, bit-identical
+        per column to :meth:`solve` while amortizing the per-level
+        dispatch across the batch.  Fallback variants
         (MILU/block-Jacobi/Jacobi) apply column-by-column, which is
-        trivially identical.  Rebuild after a :meth:`resetup` — the
-        returned callable is pinned to the current variant.
+        trivially identical (block-Jacobi's dense block inverse applied
+        to a block would be a GEMM, not bitwise a column GEMV).  Rebuild
+        after a :meth:`resetup` — the returned callable is pinned to the
+        current variant.
         """
         if not self._ready:
             raise RuntimeError("call setup(A) first")
         if self.ilu is not None:
-            return self.ilu.build_multi_solver()
+            return self.ilu.build_solver()
         apply = self._apply
 
         def apply_multi(B):

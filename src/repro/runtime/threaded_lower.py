@@ -42,6 +42,12 @@ def threaded_factor_two_stage(
     synchronization.  Lower stage: per-thread blocks + barrier + serial
     corner.  Returns the combined factor, bit-identical to the
     sequential reference.
+
+    A worker that raises (a pivot breakdown, say) stops the others at
+    once: they share a stop event that ends every dependency spin, and
+    the stage barrier is aborted.  The worker's original error is
+    re-raised.  A dependency that stays unpublished past the board's
+    default spin timeout raises ``TimeoutError``.
     """
     if int(level_ptr[-1]) != m:
         raise ValueError("level_ptr must cover exactly the upper rows")
@@ -53,7 +59,21 @@ def threaded_factor_two_stage(
     er = EvenRows(m=m, n=n, n_threads=n_threads)
     blocks = {t: (lo, hi) for t, lo, hi in er.blocks()}
     barrier = threading.Barrier(n_threads)
+    stop = threading.Event()
     errors = []
+
+    def wait(rec, name, u, need, **args):
+        """Spin until thread ``u`` published ``need``; False once a peer failed."""
+        if rec is None:
+            ok = board.try_wait(u, need, stop=stop)
+        else:
+            with rec.span(name, cat="runtime", producer=int(u), need=int(need), **args):
+                ok = board.try_wait(u, need, stop=stop)
+        if not ok and not stop.is_set():
+            raise TimeoutError(
+                f"thread {u} did not reach row {need} (at {board.load(u)})"
+            )
+        return ok
 
     def worker(t):
         try:
@@ -64,29 +84,16 @@ def threaded_factor_two_stage(
                 for r in my_rows:
                     r = int(r)
                     for u, need in deps_by_producer(S, r, thread_of, t).items():
-                        if rec is None:
-                            board.wait_for(u, need)
-                        else:
-                            with rec.span(
-                                "wait", cat="runtime",
-                                producer=int(u), need=int(need), row=r,
-                            ):
-                                board.wait_for(u, need)
+                        if not wait(rec, "wait", u, need, row=r):
+                            return
                     with _spans.span("factor_row", cat="runtime", row=r):
                         factor_row(F, r, diag_pos, pivot_tol=pivot_tol)
                     board.publish(t, r)
                 # ---- wait until every upper row is published
                 for u in range(n_threads):
                     rows_u = np.nonzero(thread_of == u)[0]
-                    if rows_u.size:
-                        if rec is None:
-                            board.wait_for(u, int(rows_u[-1]))
-                        else:
-                            with rec.span(
-                                "wait.stage", cat="runtime",
-                                producer=int(u), need=int(rows_u[-1]),
-                            ):
-                                board.wait_for(u, int(rows_u[-1]))
+                    if rows_u.size and not wait(rec, "wait.stage", u, int(rows_u[-1])):
+                        return
             # ---- lower stage phase 1: my block's FACTOR_L
             lo, hi = blocks[t]
             with _spans.span("lower_block", cat="runtime", lo=lo, hi=hi):
@@ -104,16 +111,16 @@ def threaded_factor_two_stage(
                         _factor_row_range(F, r, diag_pos, m, r, pivot_tol=pivot_tol)
         except BaseException as e:
             errors.append(e)
-            try:
-                barrier.abort()
-            except Exception:
-                pass
+            stop.set()  # peers spinning on the board give up at once
+            barrier.abort()  # peers at (or reaching) the barrier are released
 
     threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
     for th in threads:
         th.start()
     for th in threads:
         th.join()
-    if errors:
-        raise errors[0]
+    # the failing worker's own error, not a peer's BrokenBarrierError
+    real = [e for e in errors if not isinstance(e, threading.BrokenBarrierError)]
+    if real:
+        raise real[0]
     return F

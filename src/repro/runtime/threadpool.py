@@ -32,6 +32,7 @@ import numpy as np
 
 from ..core.iluk import factor_row, _diag_positions, _scatter_values
 from ..core.upper import assign_round_robin
+from ..kernels.trisolve import solve_row
 from ..obs import spans as _spans
 from ..sparse.csr import CSRMatrix
 from .pointtopoint import FaultInjectedBoard, ProgressBoard
@@ -191,22 +192,10 @@ def threaded_trisolve_lower(
     y = np.zeros(n)
     thread_of = assign_round_robin(level_ptr, n_threads)
     board = _make_board(n_threads, fault_plan, fault_report)
-    indptr, indices, data = F.indptr, F.indices, F.data
     done = np.zeros(n, dtype=bool)
     stop = threading.Event()
     stalled = []
     errors = []
-
-    def solve_row(r):
-        lo, hi = int(indptr[r]), int(indptr[r + 1])
-        cols = indices[lo:hi]
-        cut = int(np.searchsorted(cols, r))
-        # sequential entry-order accumulation: the kernel layer's
-        # bit-identical contract (np.dot may pair products)
-        s = 0.0
-        for kk in range(lo, lo + cut):
-            s += data[kk] * y[indices[kk]]
-        y[r] = b[r] - s
 
     def worker(t):
         try:
@@ -233,7 +222,7 @@ def threaded_trisolve_lower(
                 if sleep_per_row:
                     time.sleep(sleep_per_row)
                 with _spans.span("solve_row", cat="runtime", row=r):
-                    solve_row(r)
+                    solve_row(F, y, b, r, False)
                 done[r] = True
                 board.publish(t, r)
         except BaseException as e:
@@ -252,7 +241,7 @@ def threaded_trisolve_lower(
         with _spans.span("watchdog_fallback", cat="runtime"):
             for r in range(n):
                 if not done[r]:
-                    solve_row(r)
+                    solve_row(F, y, b, r, False)
                     n_fallback += 1
         if fault_report is not None:
             fault_report.watchdog_engaged = True

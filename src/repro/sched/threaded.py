@@ -17,6 +17,7 @@ import threading
 
 import numpy as np
 
+from ..kernels.trisolve import solve_row
 from ..obs import spans as _spans
 
 __all__ = ["threaded_trisolve_superstep"]
@@ -37,25 +38,10 @@ def threaded_trisolve_superstep(F, rhs, plan, *, n_threads=None):
     p = plan.n_threads
     rhs = np.asarray(rhs, dtype=np.float64)
     out = np.zeros(plan.n)
-    indptr, indices, data = F.indptr, F.indices, F.data
     upper = plan.part == "upper"
     # the scheduler's single sync point: one barrier per superstep boundary
     barrier = threading.Barrier(p)  # verify: ok[JAV002] superstep boundary barrier — the one sync point of this schedule
     errors = []
-
-    def solve_row(r):
-        lo, hi = int(indptr[r]), int(indptr[r + 1])
-        cols = indices[lo:hi]
-        cut = int(np.searchsorted(cols, r))
-        s = 0.0
-        if upper:
-            for kk in range(lo + cut + 1, hi):
-                s += data[kk] * out[indices[kk]]
-            out[r] = (rhs[r] - s) / data[lo + cut]
-        else:
-            for kk in range(lo, lo + cut):
-                s += data[kk] * out[indices[kk]]
-            out[r] = rhs[r] - s
 
     def worker(t):
         try:
@@ -64,7 +50,7 @@ def threaded_trisolve_superstep(F, rhs, plan, *, n_threads=None):
                     "sched.superstep", cat="sched", step=s, thread=t, part=plan.part
                 ):
                     for r in plan.thread_rows(s, t):
-                        solve_row(int(r))
+                        solve_row(F, out, rhs, int(r), upper)
                 barrier.wait()
         except BaseException as e:
             errors.append(e)

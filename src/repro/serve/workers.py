@@ -293,7 +293,6 @@ class WorkerShard:
         entry = FactorEntry(
             fingerprint=fingerprint,
             factor=rf,
-            apply_one=rf.build_solver(),
             apply_multi=rf.build_multi_solver(),
             variant=rf.report.final_variant,
             n_levels=n_levels,

@@ -1,3 +1,6 @@
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -50,10 +53,17 @@ class TestThreadedTwoStage:
         cols, _ = A2.row(0)
         p0 = int(np.searchsorted(cols, 0))
         A2.data[A2.indptr[0] + p0] = 0.0
+        # the peers stop at once: no 30 s spin on the progress board, no
+        # BrokenBarrierError or TimeoutError in place of the real error,
+        # and no thread left running
+        threads_before = threading.active_count()
+        t0 = time.perf_counter()
         with pytest.raises(PivotBreakdownError):
             threaded_factor_two_stage(
                 A2, ilu.S_perm, ilu.level_ptr, ilu.m, 2, pivot_tol=1e-30
             )
+        assert time.perf_counter() - t0 < 2.0
+        assert threading.active_count() == threads_before
 
 
 class TestBlockJacobiBaseline:
