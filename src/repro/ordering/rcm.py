@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .graph import adjacency_from_pattern, vertex_degrees, pseudo_peripheral_node
+from .graph import _peripheral, adjacency_from_pattern, vertex_degrees
 
 __all__ = ["reverse_cuthill_mckee", "rcm_order"]
 
@@ -22,29 +22,32 @@ __all__ = ["reverse_cuthill_mckee", "rcm_order"]
 def reverse_cuthill_mckee(xadj, adjncy):
     """RCM permutation of the graph (gather convention)."""
     n = xadj.shape[0] - 1
-    deg = vertex_degrees(xadj)
-    visited = np.zeros(n, dtype=bool)
-    order = np.empty(n, dtype=np.int64)
-    pos = 0
+    xl, al = xadj.tolist(), adjncy.tolist()
+    deg = vertex_degrees(xadj).tolist()
+    # ``levels`` doubles as the visited flag (-2): the pseudo-peripheral
+    # search of each component is blocked from earlier components and
+    # resets only what it reached, so it costs O(component), not O(n)
+    levels = [-1] * n
+    order = []
     # process components in order of their lowest-numbered vertex
     for seed in range(n):
-        if visited[seed]:
+        if levels[seed] != -1:
             continue
-        root, _, _ = pseudo_peripheral_node(xadj, adjncy, seed, mask=~visited)
+        root, reached = _peripheral(xl, al, deg, seed, levels)
+        for v in reached:
+            levels[v] = -1
+        levels[root] = -2
         queue = [root]
-        visited[root] = True
-        while queue:
-            v = queue.pop(0)
-            order[pos] = v
-            pos += 1
-            nbrs = adjncy[xadj[v] : xadj[v + 1]]
-            nbrs = nbrs[~visited[nbrs]]
-            if nbrs.size:
-                nbrs = nbrs[np.argsort(deg[nbrs], kind="stable")]
-                visited[nbrs] = True
-                queue.extend(int(u) for u in nbrs)
-    assert pos == n
-    return order[::-1].copy()
+        # iterating a list while appending to it walks the growing queue
+        for v in queue:
+            nbrs = [u for u in al[xl[v] : xl[v + 1]] if levels[u] == -1]
+            nbrs.sort(key=deg.__getitem__)  # stable: ties keep adjacency order
+            for u in nbrs:
+                levels[u] = -2
+            queue.extend(nbrs)
+        order.extend(queue)
+    assert len(order) == n
+    return np.asarray(order[::-1], dtype=np.int64)
 
 
 def rcm_order(A):

@@ -174,25 +174,19 @@ class CSRMatrix:
     # structural transforms
     # ------------------------------------------------------------------
     def transpose(self):
-        """Return Aᵀ as a new CSR matrix (bucket counting, O(nnz))."""
-        n, m = self.n_rows, self.n_cols
-        nnz = self.nnz
-        counts = np.bincount(self.indices, minlength=m)
-        t_indptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=t_indptr[1:])
-        t_indices = np.empty(nnz, dtype=np.int64)
-        t_data = np.empty(nnz)
-        fill = t_indptr[:-1].copy()
-        for r in range(n):
-            lo, hi = self.indptr[r], self.indptr[r + 1]
-            for k in range(lo, hi):
-                c = self.indices[k]
-                pos = fill[c]
-                t_indices[pos] = r
-                t_data[pos] = self.data[k]
-                fill[c] += 1
-        # rows of the transpose come out sorted because we scan rows in order
-        return CSRMatrix(m, n, t_indptr, t_indices, t_data, sort=False, check=False)
+        """Return Aᵀ as a new CSR matrix.
+
+        One stable argsort of the column indices lists each column's
+        entries in storage order: rows ascending, duplicates in their
+        stored order, exactly what a row-by-row bucket fill produces.
+        """
+        order = np.argsort(self.indices, kind="stable")
+        t_indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=self.n_cols), out=t_indptr[1:])
+        return CSRMatrix(
+            self.n_cols, self.n_rows, t_indptr, self._row_of()[order], self.data[order],
+            sort=False, check=False,
+        )
 
     def permute(self, row_perm=None, col_perm=None):
         """Return ``P A Q`` where ``new[i, j] = old[row_perm[i], col_perm_inv[j]]``.

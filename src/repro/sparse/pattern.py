@@ -28,20 +28,13 @@ __all__ = [
 
 
 def _triangular(csr: CSRMatrix, keep) -> CSRMatrix:
-    """Filter stored entries by a predicate ``keep(row, cols) -> bool mask``."""
-    n = csr.n_rows
-    lens = np.zeros(n, dtype=np.int64)
-    masks = []
-    for r in range(n):
-        cols = csr.indices[csr.indptr[r] : csr.indptr[r + 1]]
-        m = keep(r, cols)
-        masks.append(m)
-        lens[r] = int(np.count_nonzero(m))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(lens, out=indptr[1:])
-    mask = np.concatenate(masks) if masks else np.empty(0, dtype=bool)
+    """Filter stored entries by a predicate ``keep(rows, cols) -> bool mask``."""
+    rows = csr._row_of()
+    mask = keep(rows, csr.indices)
+    indptr = np.zeros(csr.n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows[mask], minlength=csr.n_rows), out=indptr[1:])
     return CSRMatrix(
-        n, csr.n_cols, indptr, csr.indices[mask], csr.data[mask], sort=False, check=False
+        csr.n_rows, csr.n_cols, indptr, csr.indices[mask], csr.data[mask], sort=False, check=False
     )
 
 
@@ -65,32 +58,39 @@ def strict_upper_pattern(csr: CSRMatrix) -> CSRMatrix:
     return _triangular(csr, lambda r, c: c > r)
 
 
+def _pattern_from_keys(n_rows, n_cols, keys) -> CSRMatrix:
+    """All-ones CSR pattern of the distinct ``row * n_cols + col`` keys."""
+    keys = np.unique(keys)
+    rows, indices = np.divmod(keys, max(n_cols, 1))
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+    return CSRMatrix(
+        n_rows, n_cols, indptr, indices, np.ones(indices.shape[0]), sort=False, check=False
+    )
+
+
 def pattern_union(a: CSRMatrix, b: CSRMatrix) -> CSRMatrix:
     """Structural union of two patterns (values become 1.0).
 
     Used to form ``A + Aᵀ`` for the level scheduling of
     ``lower(A + Aᵀ)`` without caring about numerical cancellation.
+    Rows come out sorted and free of duplicates.
     """
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    n = a.n_rows
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    chunks = []
-    for r in range(n):
-        ca = a.indices[a.indptr[r] : a.indptr[r + 1]]
-        cb = b.indices[b.indptr[r] : b.indptr[r + 1]]
-        u = np.union1d(ca, cb)
-        chunks.append(u)
-        indptr[r + 1] = indptr[r] + u.shape[0]
-    indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
-    return CSRMatrix(n, a.n_cols, indptr, indices, np.ones(indices.shape[0]), sort=False, check=False)
+    m = a.n_cols
+    keys = np.concatenate([a._row_of() * m + a.indices, b._row_of() * m + b.indices])
+    return _pattern_from_keys(a.n_rows, m, keys)
 
 
 def symmetrize_pattern(csr: CSRMatrix) -> CSRMatrix:
     """Pattern of ``A + Aᵀ`` (square matrices only)."""
     if csr.n_rows != csr.n_cols:
         raise ValueError("symmetrize_pattern requires a square matrix")
-    return pattern_union(csr, csr.transpose())
+    n = csr.n_rows
+    rows = csr._row_of()
+    keys = np.concatenate([rows * n + csr.indices, csr.indices * n + rows])
+    return _pattern_from_keys(n, n, keys)
 
 
 def is_pattern_symmetric(csr: CSRMatrix) -> bool:
@@ -117,12 +117,10 @@ def has_full_diagonal(csr: CSRMatrix) -> bool:
     preprocessing step that establishes it.
     """
     n = min(csr.n_rows, csr.n_cols)
-    for r in range(n):
-        cols = csr.indices[csr.indptr[r] : csr.indptr[r + 1]]
-        k = np.searchsorted(cols, r)
-        if k >= cols.shape[0] or cols[k] != r:
-            return False
-    return True
+    rows = csr._row_of()
+    present = np.zeros(n, dtype=bool)
+    present[rows[rows == csr.indices]] = True
+    return bool(present.all())
 
 
 def add_diagonal_pattern(csr: CSRMatrix, value=0.0) -> CSRMatrix:
